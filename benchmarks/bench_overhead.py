@@ -17,7 +17,6 @@ actually pays.
 from __future__ import annotations
 
 from repro.experiments.overhead import OVERHEAD_TABLE_HEADERS, scheduling_overhead
-from repro.lp import kernels
 from repro.lp.backends import record_lp_probes
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
@@ -182,7 +181,7 @@ def bench_lp_solve_fraction(benchmark):
 
 #: Timing rounds per replan-latency leg; the best round (by p50) is kept,
 #: which symmetrically discards transient noise on shared CI runners
-#: without biasing the tier or speculation comparisons.
+#: without biasing the speculation comparison.
 _LATENCY_ROUNDS = 2
 
 #: Extra seeds of the 60-job configuration forming the mini-campaign over
@@ -191,27 +190,24 @@ _HIT_RATE_SEEDS = (11, 12, 13)
 
 
 def bench_replan_latency(benchmark):
-    """Arrival-to-plan replan latency: compiled kernels + speculative pre-solves.
+    """Arrival-to-plan replan latency: speculative pre-solves on against off.
 
-    The sub-millisecond-replans acceptance gate.  On the dense 60-job
-    workload (the regime where the ROADMAP identifies the replan as the
-    on-line scheduling floor) the Online heuristic runs three times:
+    On the dense 60-job workload (the regime where the ROADMAP identifies
+    the replan as the on-line scheduling floor) the Online heuristic runs
+    twice:
 
-    * ``legacy`` kernel tier, speculation off -- the pre-PR baseline: the
-      verbatim pure-python milestone/interval/scatter paths;
-    * active kernel tier (numpy, or numba under ``pip install .[jit]``),
-      speculation off -- must stay within 10 % of the legacy baseline, so
-      the array-programmed fallback can never regress the historical path;
-    * active kernel tier, speculation on -- idle-gap pre-solves must cut
-      the p50 replan wall-clock (arrival to refreshed plan, measured by the
-      ``note_replan`` hook) by >= 30 %; ~70 % is the locally observed
+    * speculation off -- the baseline: every replan solves its LPs on the
+      latency path;
+    * speculation on -- idle-gap pre-solves must cut the p50 replan
+      wall-clock (arrival to refreshed plan, measured by the
+      ``note_replan`` hook) by >= 30 %; ~80 % is the locally observed
       margin, since a speculation hit re-binds a memoized LP solution
       instead of solving on the latency path.
 
-    Completions and S* are asserted bit-identical across all three legs
-    (the kernel-tier and speculation invariants), the speculation hit rate
-    is measured over a 3-seed mini-campaign of the same configuration, and
-    the whole payload lands in ``BENCH_lp.json`` (uploaded by CI).
+    Completions and S* are asserted bit-identical across both legs (the
+    speculation invariant), the speculation hit rate is measured over a
+    3-seed mini-campaign of the same configuration, and the whole payload
+    lands in ``BENCH_lp.json`` (uploaded by CI).
     """
     platform_spec = PlatformSpec(
         n_clusters=3, processors_per_cluster=10, n_databanks=3, availability=0.6
@@ -220,47 +216,36 @@ def bench_replan_latency(benchmark):
     instance = generate_instance(platform_spec, workload_spec, rng=11)
     assert instance.n_jobs >= 50
 
-    def measure(tier: str, speculate: bool):
-        """Best-of-N timed runs of one (kernel tier, speculation) leg."""
-        previous = kernels.set_active_tier(tier)
-        try:
-            best = None
-            for _ in range(_LATENCY_ROUNDS):
-                scheduler = make_scheduler("online", speculate=speculate)
-                with record_lp_probes() as stats:
-                    result = simulate(instance, scheduler)
-                assert stats.replan_latencies, "no replans recorded"
-                candidate = (result, scheduler.last_objective, stats)
-                if best is None or (
-                    stats.replan_percentile(50) < best[2].replan_percentile(50)
-                ):
-                    best = candidate
-        finally:
-            kernels.set_active_tier(previous)
+    def measure(speculate: bool):
+        """Best-of-N timed runs of one speculation leg."""
+        best = None
+        for _ in range(_LATENCY_ROUNDS):
+            scheduler = make_scheduler("online", speculate=speculate)
+            with record_lp_probes() as stats:
+                result = simulate(instance, scheduler)
+            assert stats.replan_latencies, "no replans recorded"
+            candidate = (result, scheduler.last_objective, stats)
+            if best is None or (
+                stats.replan_percentile(50) < best[2].replan_percentile(50)
+            ):
+                best = candidate
         return best
 
     def run():
-        return (
-            measure("legacy", False),
-            measure(kernels.active_tier(), False),
-            measure(kernels.active_tier(), True),
-        )
+        return measure(False), measure(True)
 
-    legacy, active, speculative = benchmark.pedantic(run, rounds=1, iterations=1)
+    baseline, speculative = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Hard gate 1: all three legs are bit-identical -- the kernel tiers are
-    # exact reimplementations and a speculation hit re-binds the exact
-    # optimum of the same LP (a miss is discarded).
-    for result, objective, _stats in (active, speculative):
-        assert objective == legacy[1]
-        assert result.completions == legacy[0].completions
+    # Hard gate 1: both legs are bit-identical -- a speculation hit re-binds
+    # the exact optimum of the same LP (a miss is discarded).
+    assert speculative[1] == baseline[1]
+    assert speculative[0].completions == baseline[0].completions
 
     p50 = {
-        "legacy": legacy[2].replan_percentile(50),
-        "kernels": active[2].replan_percentile(50),
-        "kernels+speculation": speculative[2].replan_percentile(50),
+        "speculation_off": baseline[2].replan_percentile(50),
+        "speculation_on": speculative[2].replan_percentile(50),
     }
-    reduction = 1.0 - p50["kernels+speculation"] / p50["legacy"]
+    reduction = 1.0 - p50["speculation_on"] / p50["speculation_off"]
 
     # The speculation hit rate over the mini-campaign (3 seeds of the same
     # dense configuration; the on-arrival policy predicts every replan after
@@ -282,16 +267,14 @@ def bench_replan_latency(benchmark):
         {
             "benchmark": "bench_replan_latency",
             "n_jobs": instance.n_jobs,
-            "n_replans": len(legacy[2].replan_latencies),
-            "kernel_tier": kernels.active_tier(),
+            "n_replans": len(baseline[2].replan_latencies),
             "timing_rounds": _LATENCY_ROUNDS,
             "p50_replan_seconds": p50,
             "p95_replan_seconds": {
-                "legacy": legacy[2].replan_percentile(95),
-                "kernels": active[2].replan_percentile(95),
-                "kernels+speculation": speculative[2].replan_percentile(95),
+                "speculation_off": baseline[2].replan_percentile(95),
+                "speculation_on": speculative[2].replan_percentile(95),
             },
-            "p50_reduction_vs_legacy": reduction,
+            "p50_reduction_speculation": reduction,
             "speculation_hit_rate": {
                 "mini_campaign": hit_rate,
                 "per_seed": hit_rates,
@@ -301,18 +284,11 @@ def bench_replan_latency(benchmark):
         },
     )
 
-    # Hard gate 2: the array-programmed kernel tier never regresses the
-    # pre-PR pure-python baseline by more than 10 %.
-    assert p50["kernels"] <= 1.10 * p50["legacy"], (
-        f"{kernels.active_tier()} kernel tier p50 replan "
-        f"{p50['kernels'] * 1e3:.2f} ms vs legacy {p50['legacy'] * 1e3:.2f} ms "
-        f"(> 10% regression)"
-    )
-    # Hard gate 3: >= 30% p50 replan reduction with the full stack on.
+    # Hard gate 2: >= 30% p50 replan reduction with speculation on.
     assert reduction >= 0.30, (
-        f"kernels+speculation only cut the p50 replan wall-clock by "
-        f"{reduction:.0%} ({p50['legacy'] * 1e3:.2f} ms -> "
-        f"{p50['kernels+speculation'] * 1e3:.2f} ms; target >= 30%)"
+        f"speculation only cut the p50 replan wall-clock by "
+        f"{reduction:.0%} ({p50['speculation_off'] * 1e3:.2f} ms -> "
+        f"{p50['speculation_on'] * 1e3:.2f} ms; target >= 30%)"
     )
     assert hits + misses > 0, "no speculative pre-solves were consumed"
 

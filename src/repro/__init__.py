@@ -27,7 +27,9 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- problem      LP data model (jobs, resources, deadlines affine in
     |   |                F; JobTable replan fast path, cached lookup arrays)
     |   |-- milestones   objective values where the interval structure changes
+    |   |                (vectorized near-duplicate merge)
     |   |-- intervals    epochal times -> elementary interval structures
+    |   |                (lexsort boundary ordering)
     |   |-- maxstretch * System (1): skeleton-built LPs (vectorized COO-block
     |   |                assembly) + the certificate-guided parametric search
     |   |                (dual-ray bounds skip probes; interior-optimum exit)
@@ -52,17 +54,20 @@ the *incremental replanning pipeline* spanning the starred modules::
     |   |-- state        scheduler-visible execution state
     |   `-- result       SimulationResult (metrics, trace, scheduler overhead)
     |-- schedulers/    all scheduling strategies and the registry
-    |   |-- base       * Scheduler / PriorityScheduler / PlanBasedScheduler
+    |   |-- base       * Scheduler / PriorityScheduler (lexsort ranking of
+    |   |                batched priority keys) / PlanBasedScheduler (cached
+    |   |                per-machine plan arrays)
     |   |-- policies   * ReplanPolicy: on-arrival | batched:D | threshold:K
     |   |-- online_lp  * the four on-line LP variants (policy + ReplanContext)
     |   `-- ...          offline, bender98/02, mct, priority heuristics
     |-- workload/      GriPPS-like synthetic platform/workload generation
     |-- experiments/   the paper's campaign (configs carry the replan knobs)
-    |   |-- runner     * campaign engine: (config, replicate, scheduler) task
-    |   |                streaming over long-lived worker lanes (instance
-    |   |                LRU + resident solver backend + solver-state bank,
-    |   |                replicate-affinity placement), bit-identical at
-    |   |                any worker count, progress/ETA
+    |   |-- runner     * campaign engine: each (config, replicate) group is
+    |   |                one dispatch unit streamed over long-lived worker
+    |   |                lanes (instance LRU + resident solver backend +
+    |   |                solver-state bank, replicate-affinity placement,
+    |   |                packed record transport), bit-identical at any
+    |   |                worker count, progress/ETA
     |   |-- ab           scipy-vs-HiGHS campaign A/B equivalence harness
     |   |-- io           CSV/JSON persistence + JSONL campaign checkpoints
     |   |                (kill-tolerant --checkpoint/--resume)

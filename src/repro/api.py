@@ -40,7 +40,7 @@ from repro.experiments.merge import (
 )
 from repro.experiments.runner import DEFAULT_SCHEDULERS, ExperimentResults
 from repro.experiments.runner import run_campaign as _run_campaign
-from repro.options import DispatchMode, OnOff, SolverBackendChoice
+from repro.options import OnOff, SolverBackendChoice
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate as _simulate
 from repro.simulation.result import SimulationResult
@@ -131,17 +131,17 @@ def run_campaign(
     resume: bool = False,
     max_in_flight: int | None = None,
     shard: "str | None" = None,
-    dispatch: "DispatchMode | str" = DispatchMode.GROUP,
 ) -> ExperimentResults:
     """Run a whole campaign: every configuration x replicate x scheduler.
 
-    The execution engine streams tasks over ``n_workers`` long-lived worker
-    processes (instance cache, resident solver backend and cross-run
-    solver-state bank per worker; results are bit-identical at any worker
-    count), journals completed records to ``checkpoint`` and can ``resume``
-    a killed run.  ``shard="i/N"`` restricts the run to one deterministic
-    slice of the design so N independent jobs can split a campaign; their
-    journals are reunited by :func:`merge`.
+    The execution engine streams (configuration, replicate) groups over
+    ``n_workers`` long-lived worker processes (instance cache, resident
+    solver backend and cross-run solver-state bank per worker; results are
+    bit-identical at any worker count), journals completed records to
+    ``checkpoint`` and can ``resume`` a killed run.  ``shard="i/N"``
+    restricts the run to one deterministic slice of the design so N
+    independent jobs can split a campaign; their journals are reunited by
+    :func:`merge`.
 
     See :func:`repro.experiments.runner.run_campaign` for the full
     parameter reference; this facade forwards verbatim.
@@ -163,7 +163,6 @@ def run_campaign(
         resume=resume,
         max_in_flight=max_in_flight,
         shard=shard,
-        dispatch=dispatch,
     )
 
 

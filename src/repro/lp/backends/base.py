@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Sequence
 
@@ -283,7 +284,7 @@ class LPProbeStats:
     n_primal_reuses: int = 0
     #: Wall-clock seconds spent assembling LPs before handing them to the
     #: backend (interval structure + skeleton + COO blocks): the python-side
-    #: cost the compiled replan kernels of :mod:`repro.lp.kernels` attack.
+    #: cost of a replan outside the solver.
     assembly_seconds: float = 0.0
     #: Wall-clock seconds inside whole milestone searches (bounds, milestone
     #: enumeration, probe loop -- solves included).
@@ -342,12 +343,16 @@ class LPProbeStats:
 
 
 #: Stack of active stat collectors (nested ``record_lp_probes`` blocks all see
-#: every probe run inside them).
-_ACTIVE_STATS: list[LPProbeStats] = []
+#: every probe run inside them).  A context variable, so a block only counts
+#: the probes of its own thread: concurrent runs in other threads start from
+#: an empty stack and never leak into each other's counters.
+_ACTIVE_STATS: ContextVar[tuple[LPProbeStats, ...]] = ContextVar(
+    "repro_active_lp_stats", default=()
+)
 
 
 def _note_probe(backend_name: str, seconds: float) -> None:
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.n_probes += 1
         stats.solve_seconds += seconds
         stats.by_backend[backend_name] = stats.by_backend.get(backend_name, 0) + 1
@@ -357,19 +362,19 @@ def note_certificate_skips(count: int) -> None:
     """Record ``count`` milestone probes eliminated without an LP solve."""
     if count <= 0:
         return
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.n_certificate_skipped += count
 
 
 def note_basis_reuse() -> None:
     """Record one solved probe served from warm persistent-solver state."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.n_basis_reused += 1
 
 
 def note_milestone_search(solved: int, skipped: int, interior_exit: bool) -> None:
     """Record the probe economy of one completed milestone search."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.searches.append((solved, skipped))
         if interior_exit:
             stats.n_interior_exits += 1
@@ -377,7 +382,7 @@ def note_milestone_search(solved: int, skipped: int, interior_exit: bool) -> Non
 
 def note_bank_lookup(hit: bool) -> None:
     """Record one solver-state-bank bucket acquisition (warm or cold)."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         if hit:
             stats.n_bank_hits += 1
         else:
@@ -386,31 +391,31 @@ def note_bank_lookup(hit: bool) -> None:
 
 def note_primal_reuse() -> None:
     """Record one whole LP solve replaced by a stored primal solution."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.n_primal_reuses += 1
 
 
 def note_phase_assembly(seconds: float) -> None:
     """Record python-side LP assembly time (structure + skeleton + COO blocks)."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.assembly_seconds += seconds
 
 
 def note_phase_search(seconds: float) -> None:
     """Record the wall-clock of one whole milestone search (solves included)."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.search_seconds += seconds
 
 
 def note_replan(seconds: float) -> None:
     """Record the wall-clock latency of one scheduler replan."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         stats.replan_latencies.append(seconds)
 
 
 def note_speculation(hit: bool) -> None:
     """Record the fate of one speculative pre-solve (consumed or discarded)."""
-    for stats in _ACTIVE_STATS:
+    for stats in _ACTIVE_STATS.get():
         if hit:
             stats.n_spec_hits += 1
         else:
@@ -433,8 +438,8 @@ def record_lp_probes() -> Iterator[LPProbeStats]:
     quantity tracked by ``benchmarks/bench_overhead.py``.
     """
     stats = LPProbeStats()
-    _ACTIVE_STATS.append(stats)
+    token = _ACTIVE_STATS.set(_ACTIVE_STATS.get() + (stats,))
     try:
         yield stats
     finally:
-        _ACTIVE_STATS.remove(stats)
+        _ACTIVE_STATS.reset(token)

@@ -64,7 +64,7 @@ class ScipyBackend(SolverBackend):
         bounds = list(zip(spec.lower, spec.upper))
         a_ub = b_ub = a_eq = b_eq = None
         # Length checks, not truthiness: the builder may hand the RHS over
-        # as numpy arrays (kernel-assembled blocks), where truthiness is
+        # as numpy arrays (COO-block assembly), where truthiness is
         # ambiguous.
         if len(spec.ub_rhs):
             a_ub = sparse.coo_matrix(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ModelError
-from repro.lp import kernels
 from repro.lp.problem import Affine, MaxStretchProblem
 
 __all__ = ["IntervalStructure", "build_interval_structure"]
@@ -85,14 +84,14 @@ def build_interval_structure(problem: MaxStretchProblem, probe: float) -> Interv
         raise ModelError(f"probe objective must be non-negative, got {probe}")
 
     # The candidate boundaries are the job starts (constant affines) and the
-    # deadlines (slope = flow factor); the kernel dedups the distinct
-    # (const, coef) pairs and sorts them by value at the probe, ties broken
-    # by slope then offset so that the ordering is deterministic.
+    # deadlines (slope = flow factor); the distinct (const, coef) pairs are
+    # sorted by value at the probe, ties broken by slope then offset so that
+    # the ordering is deterministic.
     n = problem.n_jobs
     starts, releases, factors = problem.job_vectors()
     consts = np.concatenate([starts, releases])
     coefs = np.concatenate([np.zeros(n, dtype=np.float64), factors])
-    b_consts, b_coefs = kernels.order_affine_boundaries(consts, coefs, probe)
+    b_consts, b_coefs = _order_affine_boundaries(consts, coefs, probe)
 
     sorted_boundaries = tuple(
         Affine(const, coef) for const, coef in zip(b_consts.tolist(), b_coefs.tolist())
@@ -114,3 +113,22 @@ def build_interval_structure(problem: MaxStretchProblem, probe: float) -> Interv
         job_start_index=job_start_index,
         job_deadline_index=job_deadline_index,
     )
+
+
+def _order_affine_boundaries(
+    consts: np.ndarray, coefs: np.ndarray, probe: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct boundaries ``const + coef*F``, sorted by (value at ``probe``, coef, const)."""
+    # Exact duplicates -- equal (const, coef) pairs, hence equal full keys --
+    # land adjacent and are dropped.  Distinct pairs always differ in the full
+    # key (equal value and equal coef force equal const), so the order is
+    # total and deterministic.
+    values = consts + coefs * probe
+    order = np.lexsort((consts, coefs, values))
+    c = consts[order]
+    k = coefs[order]
+    keep = np.empty(order.size, dtype=bool)
+    if order.size:
+        keep[0] = True
+        np.logical_or(c[1:] != c[:-1], k[1:] != k[:-1], out=keep[1:])
+    return c[keep], k[keep]

@@ -44,7 +44,6 @@ from typing import Mapping, MutableMapping, Sequence
 import numpy as np
 
 from repro.core.errors import InfeasibleError
-from repro.lp import kernels
 from repro.lp.backends import (
     SolverBackend,
     WarmStartHint,
@@ -460,6 +459,34 @@ def _assembly_arrays(skeleton: ConstraintSkeleton) -> _AssemblyArrays:
     return cache
 
 
+def _scatter_capacity_sys1(
+    entry_rows: np.ndarray,
+    entry_cols: np.ndarray,
+    len_const: np.ndarray,
+    len_coef: np.ndarray,
+    speeds: np.ndarray,
+    offset: int,
+    f_var: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Build the System (1) capacity block ``(rows, cols, vals, rhs)`` in COO form.
+
+    The x entries carry coefficient 1 on their skeleton positions (shifted by
+    ``offset``); the objective column ``f_var`` receives ``-speed *
+    length.coef`` on rows where that is nonzero; the RHS is ``speed *
+    length.const``.
+    """
+    x_vals = np.ones(entry_cols.size, dtype=np.float64)
+    f_coefs = -(speeds * len_coef)
+    nonzero = np.nonzero(f_coefs)[0]
+    rows = np.concatenate([entry_rows, nonzero])
+    cols = np.concatenate(
+        [entry_cols + offset, np.full(nonzero.size, f_var, dtype=np.int64)]
+    )
+    vals = np.concatenate([x_vals, f_coefs[nonzero]])
+    rhs = speeds * len_const
+    return rows, cols, vals, rhs
+
+
 def _assemble_constraints(
     builder: LinearProgramBuilder,
     problem: MaxStretchProblem,
@@ -481,7 +508,7 @@ def _assemble_constraints(
     arrays = _assembly_arrays(skeleton)
     speeds = problem.resource_speeds()[arrays.cap_c]
     if f_var is not None:
-        rows, cols, vals, rhs = kernels.scatter_capacity_sys1(
+        rows, cols, vals, rhs = _scatter_capacity_sys1(
             arrays.cap_entry_rows,
             arrays.cap_entry_cols,
             arrays.cap_len_const,

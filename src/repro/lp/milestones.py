@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lp import kernels
 from repro.lp.problem import MaxStretchProblem
 
 __all__ = ["enumerate_milestones"]
@@ -71,4 +70,31 @@ def enumerate_milestones(
     values = np.unique(values)
     # Merge near-duplicates (within relative tol) to keep the boundary list
     # short and to avoid zero-length binary-search intervals.
-    return kernels.merge_close_milestones(values, tol)
+    return _merge_close_milestones(values, tol)
+
+
+def _merge_close_milestones(values: np.ndarray, tol: float) -> list[float]:
+    """Merge sorted candidate milestones closer than relative ``tol``.
+
+    Keeps the first member of every close cluster, comparing each candidate
+    against the last *kept* value.  ``values`` must be sorted, non-empty,
+    float64.
+    """
+    # The comparison against the last kept value is loop-carried.  But merges
+    # only fire on near-duplicates (relative tol, default 1e-12), so in the
+    # common case the vectorized adjacent-difference test proves that nothing
+    # merges -- then "last kept" == "previous element" and the whole array
+    # survives verbatim.  Any failing pair falls back to the sequential loop.
+    gaps = np.abs(values[1:] - values[:-1]) > tol * np.maximum(1.0, np.abs(values[1:]))
+    if bool(gaps.all()):
+        return values.tolist()
+    return _merge_close_milestones_loop(values, tol)
+
+
+def _merge_close_milestones_loop(values: np.ndarray, tol: float) -> list[float]:
+    """The sequential merge of :func:`_merge_close_milestones`."""
+    merged: list[float] = [float(values[0])]
+    for v in values[1:]:
+        if abs(v - merged[-1]) > tol * max(1.0, abs(v)):
+            merged.append(float(v))
+    return merged

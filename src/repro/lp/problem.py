@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.instance import Instance
-from repro.lp import kernels
 
 __all__ = [
     "Affine",
@@ -244,7 +243,7 @@ class MaxStretchProblem:
         """
         if not self.jobs:
             return 0.0
-        starts, releases, factors = self._job_vectors()
+        starts, releases, factors = self.job_vectors()
         completions = starts + self.remaining_works() / self._eligible_speeds()
         return float(((completions - releases) / factors).max())
 
@@ -257,7 +256,7 @@ class MaxStretchProblem:
         """
         if not self.jobs:
             return 0.0
-        starts, releases, factors = self._job_vectors()
+        starts, releases, factors = self.job_vectors()
         horizon = float(starts.max())
         horizon += float((self.remaining_works() / self._eligible_speeds()).sum())
         bound = float(((horizon - releases) / factors).max())
@@ -267,9 +266,9 @@ class MaxStretchProblem:
     def job_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached (earliest_start, release, flow_factor) arrays in job order.
 
-        On the replan fast path these are seeded directly by the
-        :func:`repro.lp.kernels.active_jobs_delta` kernel instead of being
-        rebuilt from the job dataclasses.
+        On the replan fast path these are seeded directly by
+        :func:`_active_jobs_delta` instead of being rebuilt from the job
+        dataclasses.
         """
         vectors = self.__dict__.get("_job_vectors_cache")
         if vectors is None:
@@ -281,9 +280,6 @@ class MaxStretchProblem:
             )
             object.__setattr__(self, "_job_vectors_cache", vectors)
         return vectors
-
-    # Backwards-compatible private alias (pre-kernel name).
-    _job_vectors = job_vectors
 
 
 def build_resources(instance: Instance) -> tuple[Resource, ...]:
@@ -330,11 +326,11 @@ class JobTable:
     rows: tuple[tuple[int, float, float, float, tuple[int, ...]], ...]
 
     def arrays(self) -> tuple[list[int], np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-        """Cached column views of the table for the replan delta kernel.
+        """Cached column views of the table for the replan delta.
 
         Returns ``(job ids, releases, flow factors, eligibility tuples)``;
         the float columns are float64 arrays ready for
-        :func:`repro.lp.kernels.active_jobs_delta`.
+        :func:`_active_jobs_delta`.
         """
         cached = self.__dict__.get("_arrays")
         if cached is None:
@@ -376,6 +372,21 @@ def build_job_table(
     return JobTable(rows=tuple(rows))
 
 
+def _active_jobs_delta(
+    releases: np.ndarray, factors: np.ndarray, rem: np.ndarray, now: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Apply a remaining-work delta to the :class:`JobTable` columns.
+
+    Returns ``(row indices, earliest starts, remaining works, releases,
+    flow factors)`` of the active rows (``rem > 0``), with earliest starts
+    clamped to ``now`` when given.
+    """
+    idx = np.nonzero(rem > 0.0)[0]
+    rel = releases[idx]
+    earliest = rel.copy() if now is None else np.maximum(rel, float(now))
+    return idx, earliest, rem[idx], rel, factors[idx]
+
+
 def _problem_from_job_table(
     table: JobTable,
     resources: tuple[Resource, ...],
@@ -389,7 +400,7 @@ def _problem_from_job_table(
         dtype=np.float64,
         count=len(ids),
     )
-    idx, earliest, works, rel_active, fac_active = kernels.active_jobs_delta(
+    idx, earliest, works, rel_active, fac_active = _active_jobs_delta(
         releases, factors, rem, now
     )
     lp_jobs = tuple(
@@ -404,7 +415,7 @@ def _problem_from_job_table(
         for k, i in enumerate(idx.tolist())
     )
     problem = MaxStretchProblem(resources=resources, jobs=lp_jobs)
-    # The delta kernel already materialized the per-job float columns; seed
+    # The delta already materialized the per-job float columns; seed
     # the problem's lazy caches so the milestone/bound consumers skip their
     # per-job python loops entirely.
     object.__setattr__(problem, "_works", works)

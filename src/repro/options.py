@@ -1,14 +1,14 @@
 """Typed option enums for the knobs that accumulated as bare strings.
 
-The experiment surface grew a handful of string/bool toggles over time --
-``--state-bank on|off``, ``--speculate on|off``, ``dispatch="group"|"task"``,
-``--solver-backend scipy|highs|auto`` -- each validated ad hoc at its own
-entry point.  This module normalizes them into enums with one shared
-coercion rule and one shared ``argparse`` helper:
+The experiment surface grew string/bool toggles over time --
+``--state-bank on|off``, ``--speculate on|off`` and ``--solver-backend
+scipy|highs|auto`` -- each validated ad hoc at its own entry point.  This
+module normalizes them into enums with one shared coercion rule and one
+shared ``argparse`` helper:
 
 * every enum subclasses :class:`OptionEnum` (a ``str`` mixin, so members
   compare equal to their spelling, serialize to JSON as plain strings and
-  pass through existing ``== "group"``-style checks unchanged);
+  pass through existing ``== "scipy"``-style checks unchanged);
 * :meth:`OptionEnum.coerce` turns user input into a member, accepting the
   canonical spellings silently and the *legacy* spellings (``true``/``yes``
   for ``on``, ...) with a :class:`DeprecationWarning`;
@@ -26,7 +26,6 @@ __all__ = [
     "OptionEnum",
     "OnOff",
     "SolverBackendChoice",
-    "DispatchMode",
     "enum_option",
 ]
 
@@ -131,21 +130,6 @@ class SolverBackendChoice(OptionEnum):
             "linprog": cls.SCIPY,  # historical name of the one-shot path
             "highspy": cls.HIGHS,  # the binding, not the backend
             "default": cls.AUTO,
-        }
-
-
-class DispatchMode(OptionEnum):
-    """Campaign dispatch granularity (``group`` | ``task``)."""
-
-    GROUP = "group"
-    TASK = "task"
-
-    @classmethod
-    def _legacy_aliases(cls) -> "Mapping[str, DispatchMode]":
-        return {
-            "grouped": cls.GROUP,
-            "per-task": cls.TASK,
-            "tasks": cls.TASK,
         }
 
 

@@ -27,7 +27,6 @@ from repro.core.instance import Instance
 from repro.core.job import Job
 from repro.core.schedule import Schedule
 from repro.simulation.state import Assignment, JobRuntime, SchedulerState
-from repro.schedulers import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedulers.policies import ReplanPolicy
@@ -144,7 +143,7 @@ class PriorityScheduler(Scheduler):
         The default evaluates :meth:`priority` job by job; subclasses whose
         key is arrayable override this to build the whole vector in one pass
         (the values must match :meth:`priority` exactly -- the ranking
-        kernel consumes them verbatim).
+        consumes them verbatim).
         """
         return np.fromiter(
             (self.priority(state, rt) for rt in runtimes),
@@ -159,7 +158,7 @@ class PriorityScheduler(Scheduler):
         job_ids = np.fromiter(
             (rt.job_id for rt in runtimes), np.int64, count=len(runtimes)
         )
-        order = kernels.rank_by_priority(keys, job_ids)
+        order = _rank_by_priority(keys, job_ids)
         available = state.available_ids()
         mapping: dict[int, int] = {}
         for position in order.tolist():
@@ -220,7 +219,7 @@ class PlanBasedScheduler(Scheduler):
         self.instance: Instance | None = None
         self._plan: dict[int, list[PlanSegment]] = {}
         #: Per-machine (starts, ends) float64 views of ``_plan``, built lazily
-        #: for the plan-horizon kernel and dropped whenever the machine's
+        #: for the plan-horizon scan and dropped whenever the machine's
         #: segment list changes (every mutation goes through the methods
         #: below, so the cache cannot go stale).
         self._plan_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -293,7 +292,7 @@ class PlanBasedScheduler(Scheduler):
                 np.fromiter((s.end for s in per_machine), np.float64, count=count),
             )
             self._plan_arrays[machine_id] = arrays
-        return kernels.plan_horizon_scan(arrays[0], arrays[1], time)
+        return _plan_horizon_scan(arrays[0], arrays[1], time)
 
     def plan_tail(self, machine_id: int, time: float) -> float:
         """Date at which the machine's *whole* plan is over (>= ``time``).
@@ -429,3 +428,31 @@ class PlanBasedScheduler(Scheduler):
             )
             for s in schedule
         ]
+
+
+def _rank_by_priority(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
+    """Rank jobs by ``(priority, job_id)`` ascending; returns int64 positions.
+
+    The ranking of every list scheduler (Section 3's greedy rule): smaller
+    keys are more urgent, ties broken by job id.  Job ids are unique, so the
+    key is total and the lexicographic sort is deterministic.
+    """
+    return np.lexsort((job_ids, priorities)).astype(np.int64, copy=False)
+
+
+def _plan_horizon_scan(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
+    """Earliest date >= ``time`` at which a machine's plan leaves it free.
+
+    ``starts``/``ends`` are the machine's planned segments sorted by start;
+    the scan chains through every segment overlapping the running horizon
+    (1e-12 tolerance).  The chain runs through the last absorbed segment
+    end, so the scan stays a sequential loop.
+    """
+    horizon = time
+    for i in range(starts.size):
+        if ends[i] <= horizon + 1e-12:
+            continue
+        if starts[i] > horizon + 1e-12:
+            break
+        horizon = ends[i]
+    return float(horizon)

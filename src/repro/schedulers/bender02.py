@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.instance import Instance
 from repro.simulation.state import JobRuntime, SchedulerState
-from repro.schedulers import kernels
 from repro.schedulers.base import PriorityScheduler
 
 __all__ = ["Bender02Scheduler"]
@@ -99,4 +98,18 @@ class Bender02Scheduler(PriorityScheduler):
         relative_sizes = np.fromiter(
             (rt.job.size / min_size for rt in runtimes), np.float64, count=count
         )
-        return kernels.pseudo_stretch_priorities(ages, relative_sizes, delta)
+        return _pseudo_stretch_priorities(ages, relative_sizes, delta)
+
+
+def _pseudo_stretch_priorities(
+    ages: np.ndarray, relative_sizes: np.ndarray, delta: float
+) -> np.ndarray:
+    """Bender02 priority keys: the *negated* pseudo-stretches :math:`-\\hat S_j(t)`.
+
+    Jobs whose normalized size is <= sqrt(delta) age at rate 1/sqrt(delta),
+    larger jobs at 1/delta (see :meth:`Bender02Scheduler.pseudo_stretch`).
+    Both quotients are computed elementwise and selected, so each element is
+    the exact division the scalar rule performs.
+    """
+    sqrt_delta = math.sqrt(delta)
+    return -np.where(relative_sizes <= sqrt_delta, ages / sqrt_delta, ages / delta)

@@ -29,7 +29,6 @@ from repro.core.job import Job
 from repro.lp.maxstretch import minimize_max_weighted_flow
 from repro.lp.problem import problem_from_instance
 from repro.simulation.state import JobRuntime, SchedulerState
-from repro.schedulers import kernels
 from repro.schedulers.base import PriorityScheduler
 
 __all__ = ["Bender98Scheduler"]
@@ -102,9 +101,7 @@ class Bender98Scheduler(PriorityScheduler):
             np.float64,
             count=count,
         )
-        deadlines = kernels.expand_deadlines(
-            releases, flow_factors, self._expansion * optimal
-        )
+        deadlines = releases + (self._expansion * optimal) * flow_factors
         for job_id, deadline in zip(released, deadlines.tolist()):
             self._deadlines[job_id] = deadline
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import math
+
 import numpy as np
 
 from repro.core.job import Job
 from repro.simulation.state import SchedulerState
-from repro.schedulers import kernels
 from repro.schedulers.base import PlanBasedScheduler, PlanSegment
 
 __all__ = ["MCTScheduler", "MCTDivScheduler"]
@@ -57,7 +58,7 @@ class MCTScheduler(PlanBasedScheduler):
         cycle_times = np.fromiter(
             (m.cycle_time for m in machines), np.float64, count=count
         )
-        index, best_completion = kernels.mct_argmin_completion(
+        index, best_completion = _mct_argmin_completion(
             available, cycle_times, now, work
         )
         if index < 0:  # pragma: no cover - count > 0 guarantees a winner
@@ -101,7 +102,7 @@ class MCTDivScheduler(PlanBasedScheduler):
             count=count,
         )
         speeds = np.fromiter((m.speed for m in machines), np.float64, count=count)
-        completion = kernels.water_filling_completion(work, speeds, availability)
+        completion = _water_filling_completion(work, speeds, availability)
         segments = []
         for i, machine in enumerate(machines):
             available = float(availability[i])
@@ -117,19 +118,74 @@ class MCTDivScheduler(PlanBasedScheduler):
         self.extend_plan(segments)
 
 
+def _mct_argmin_completion(
+    available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
+) -> tuple[int, float]:
+    """MCT's champion scan: earliest-completing eligible machine.
+
+    Returns ``(index, completion)`` where ``completion = max(available[i],
+    now) + size * cycle_times[i]`` and a candidate only displaces the
+    incumbent when it wins by more than 1e-15.  Returns ``(-1, inf)`` on
+    empty input (the caller rejects that case).
+    """
+    # The 1e-15 acceptance band makes the scan a loop-carried chain, which is
+    # *not* a plain argmin when several completions fall within the band of
+    # each other.  But when the minimum wins by more than 1e-15 over every
+    # other completion the chain provably ends on it (any earlier champion is
+    # beaten by it, and no later candidate can displace the minimum), so the
+    # vectorized argmin is exact; any band tie falls back to the scan.
+    completions = np.maximum(available, now) + size * cycle_times
+    if completions.size == 0:
+        return -1, math.inf
+    best = int(np.argmin(completions))
+    value = completions[best]
+    if int(np.count_nonzero(completions <= value + 1e-15)) == 1:
+        return best, float(value)
+    return _mct_argmin_completion_loop(available, cycle_times, now, size)
+
+
+def _mct_argmin_completion_loop(
+    available: np.ndarray, cycle_times: np.ndarray, now: float, size: float
+) -> tuple[int, float]:
+    """The sequential champion scan of :func:`_mct_argmin_completion`."""
+    best_index = -1
+    best_completion = math.inf
+    for i in range(available.size):
+        completion = max(available[i], now) + size * cycle_times[i]
+        if completion < best_completion - 1e-15:
+            best_completion = completion
+            best_index = i
+    return best_index, float(best_completion)
+
+
 def _water_filling_completion(
-    work: float, speeds: Sequence[float], availability: Sequence[float]
+    work: float, speeds: np.ndarray, availability: np.ndarray
 ) -> float:
     """Earliest common completion date of ``work`` spread over the machines.
 
     Machine ``i`` becomes available at ``availability[i]`` and then processes
     at ``speeds[i]``; the job completes at the smallest ``T`` such that
-    ``sum_i speeds[i] * max(0, T - availability[i]) = work``.  Thin sequence
-    front-end over :func:`repro.schedulers.kernels.water_filling_completion`
-    (which dispatches the active kernel tier).
+    ``sum_i speeds[i] * max(0, T - availability[i]) = work`` -- a sweep in
+    earliest-availability order.  The remaining work is consumed along a
+    loop-carried subtraction chain, so the sweep stays a sequential loop.
     """
-    return kernels.water_filling_completion(
-        work,
-        np.asarray(speeds, dtype=np.float64),
-        np.asarray(availability, dtype=np.float64),
-    )
+    if speeds.size == 0:
+        raise ValueError("at least one machine is required")
+    order = sorted(range(len(speeds)), key=lambda i: availability[i])
+    active_speed = 0.0
+    remaining = work
+    current = availability[order[0]]
+    for idx in order:
+        # Advance from the previous availability date to this one using the
+        # machines already active.
+        gap = availability[idx] - current
+        if gap > 0 and active_speed > 0:
+            doable = active_speed * gap
+            if doable >= remaining:
+                return float(current + remaining / active_speed)
+            remaining -= doable
+            current = availability[idx]
+        else:
+            current = max(current, availability[idx])
+        active_speed += speeds[idx]
+    return float(current + remaining / active_speed)

@@ -64,6 +64,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two writes (headers, then body).  On a kept-alive
+    # connection Nagle's algorithm would hold the body back until the
+    # client's delayed ACK of the headers (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

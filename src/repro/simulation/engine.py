@@ -156,7 +156,7 @@ class SimulationEngine:
                 self.queue.push_wakeup(transition.time, transition.machine_id, transition.up)
 
         start = _time.perf_counter()
-        self._call(self.scheduler.reset, instance)
+        self.scheduler.reset(instance)
         self._scheduler_time += _time.perf_counter() - start
 
         if len(self.queue) == 0 and not source.exhausted:
@@ -505,9 +505,6 @@ class SimulationEngine:
             return fn(*args)
         finally:
             self._scheduler_time += _time.perf_counter() - start
-
-    def _call(self, fn, *args):
-        return fn(*args)
 
 
 def _earliest_completion(rate: np.ndarray, remaining: np.ndarray, now: float) -> float:

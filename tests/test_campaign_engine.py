@@ -252,13 +252,13 @@ class TestCheckpoint:
 
 
 class TestGroupDispatch:
-    """PR-8 group-batched dispatch: packed transport, stage profile, batching.
+    """Group-batched dispatch: packed transport, stage profile, batching.
 
-    ``dispatch="group"`` is the default, so TestSharding above already proves
-    group-dispatch bit-identity at 1/2/4 workers with the solver bank on
-    (and ``test_state_bank.py`` at 2/4 workers, on and off); this class adds
-    the bank-off worker sweep, the per-task escape hatch, the packed-payload
-    round trip, the stage profile and the kill-mid-group durability story.
+    Group dispatch is the only campaign path, so TestSharding above already
+    proves its bit-identity at 1/2/4 workers with the solver bank on (and
+    ``test_state_bank.py`` at 2/4 workers, on and off); this class adds the
+    bank-off worker sweep, the packed-payload round trip, the stage profile
+    and the kill-mid-group durability story.
     """
 
     @pytest.fixture(scope="class")
@@ -283,21 +283,6 @@ class TestGroupDispatch:
             base_seed=SEED, n_workers=n_workers,
         )
         assert sharded.result_set() == serial_bank_off.result_set()
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_per_task_dispatch_matches_group(self, serial_results, n_workers):
-        per_task = run_campaign(
-            CONFIGS, scheduler_keys=KEYS, replicates=REPLICATES, base_seed=SEED,
-            n_workers=n_workers, dispatch="task",
-        )
-        assert per_task.result_set() == serial_results.result_set()
-
-    def test_unknown_dispatch_mode_rejected(self):
-        with pytest.raises(ReproError, match="unknown dispatch mode"):
-            run_campaign(
-                CONFIGS, scheduler_keys=KEYS, replicates=1, base_seed=SEED,
-                dispatch="batch",
-            )
 
     def test_packed_round_trip_is_bit_exact(self):
         records = [TestJsonNaN.OK, TestJsonNaN.FAILED]

@@ -10,6 +10,8 @@ vendored bindings are importable.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,66 @@ class TestPersistentMechanics:
         assert set(stats.by_backend) == {"scipy", "highs"}
         assert stats.solve_seconds > 0
         assert stats.per_probe_seconds > 0
+
+
+def _probe_counters(stats) -> tuple:
+    return stats.histogram(), stats.searches, len(stats.replan_latencies)
+
+
+def test_probe_stats_are_scoped_to_their_thread():
+    # A record_lp_probes block counts only the probes of its own thread:
+    # concurrent runs must report exactly the counters they report alone
+    # (LP-free heuristics: zero probes, whatever runs beside them).
+    instance = _small_instance(5, max_jobs=20, density=2.0)
+    keys = ("swrpt", "online", "mct")
+    online_done = threading.Event()
+
+    def scheduler_for(key, *, gated):
+        if key == "online":
+            return make_scheduler(key, solver_backend="scipy")
+        scheduler = make_scheduler(key)
+        if gated:
+            # Hold the heuristic's run -- and so its open collector -- until
+            # the online run in the other thread has finished all its solves.
+            reset = scheduler.reset
+
+            def reset_after_online(inst):
+                assert online_done.wait(timeout=120)
+                reset(inst)
+
+            scheduler.reset = reset_after_online
+        return scheduler
+
+    def run(key, *, gated=False):
+        result = simulate(instance, scheduler_for(key, gated=gated))
+        return _probe_counters(result.lp_probes)
+
+    alone = {key: run(key) for key in keys}
+    assert alone["online"][0]["solved"] > 0
+    assert alone["swrpt"][0]["solved"] == alone["mct"][0]["solved"] == 0
+
+    barrier = threading.Barrier(len(keys))
+    concurrent: dict[str, tuple] = {}
+    errors: list[BaseException] = []
+
+    def worker(key):
+        try:
+            barrier.wait()
+            concurrent[key] = run(key, gated=True)
+        except BaseException as exc:  # surfaced on the main thread below
+            errors.append(exc)
+        finally:
+            if key == "online":
+                online_done.set()
+
+    threads = [threading.Thread(target=worker, args=(key,)) for key in keys]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert not errors, errors
+    assert concurrent == alone
 
 
 # -- backend selection ---------------------------------------------------------------

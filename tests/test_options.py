@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.errors import ModelError
 from repro.experiments.config import ExperimentConfig
-from repro.options import DispatchMode, OnOff, SolverBackendChoice, enum_option
+from repro.options import OnOff, SolverBackendChoice, enum_option
 
 
 class TestOnOff:
@@ -51,13 +51,6 @@ class TestOtherEnums:
             assert SolverBackendChoice.coerce("linprog") is SolverBackendChoice.SCIPY
         with pytest.raises(ValueError):
             SolverBackendChoice.coerce("cplex")
-
-    def test_dispatch_modes(self):
-        assert DispatchMode.coerce("task") is DispatchMode.TASK
-        with pytest.warns(DeprecationWarning):
-            assert DispatchMode.coerce("grouped") is DispatchMode.GROUP
-        # The str mixin keeps historical comparisons working.
-        assert DispatchMode.GROUP == "group"
 
 
 class TestEnumOption:
@@ -123,24 +116,3 @@ class TestExperimentConfigNormalization:
         assert options["speculate"] is False
         assert isinstance(options["solver_backend"], str)
 
-
-class TestRunnerDispatchCoercion:
-    def test_bad_dispatch_mode_is_rejected_early(self):
-        from repro.core.errors import ReproError
-        from repro.experiments.config import small_configurations
-        from repro.experiments.runner import run_campaign
-
-        with pytest.raises(ReproError, match="unknown dispatch mode"):
-            run_campaign(small_configurations()[:1], scheduler_keys=["fcfs"],
-                         replicates=1, dispatch="shuffled")
-
-    def test_legacy_dispatch_spelling_warns(self):
-        from repro.experiments.config import small_configurations
-        from repro.experiments.runner import run_campaign
-
-        with pytest.warns(DeprecationWarning):
-            results = run_campaign(
-                small_configurations()[:1], scheduler_keys=["fcfs"],
-                replicates=1, dispatch="per-task"
-            )
-        assert len(results) == 1

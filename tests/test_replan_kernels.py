@@ -1,12 +1,17 @@
-"""Cross-tier bit-equality of the compiled replan kernels (:mod:`repro.lp.kernels`).
+"""Bit-equality of the replan kernels against their legacy loops.
 
-Every kernel in :data:`~repro.lp.kernels.KERNEL_NAMES` is checked against
-the ``legacy`` tier (the pre-kernel pure python, kept verbatim) on
-randomized inputs, in every importable tier -- ``numpy`` always, ``numba``
-on the CI jit leg.  Equality is exact (``==`` on every element), matching
-the module's bit-identity contract.  A second group checks the contract at
-the integration level: whole-run S* trajectories and completions are
-identical under every tier.
+The per-replan python of the LP layer -- milestone merging
+(:mod:`repro.lp.milestones`), interval-boundary ordering
+(:mod:`repro.lp.intervals`), ``JobTable`` delta application
+(:mod:`repro.lp.problem`) and the System (1) capacity scatter
+(:mod:`repro.lp.maxstretch`) -- runs as private numpy kernels beside their
+call sites.  Each one is checked here against a sequential legacy loop on
+randomized inputs with injected near-duplicates and exact ties.  The
+merge's fallback loop lives beside it in ``src``; the other legacy loops
+are the historical pure python, kept in this file as oracles.  Equality is exact (``==`` on every
+element).  A second check covers the integration level: whole-run S*
+trajectories and completions are identical with every array program
+replaced by its reference loop.
 """
 
 from __future__ import annotations
@@ -14,20 +19,117 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp import kernels
+from repro.lp import intervals, maxstretch, milestones, problem
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
-#: Tiers equality-tested against the legacy reference.
-CANDIDATE_TIERS = [t for t in kernels.available_tiers() if t != "legacy"]
-
-#: Randomized trials per kernel and tier.
+#: Randomized trials per kernel.
 N_TRIALS = 25
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# -- reference loops (the historical pure python) ------------------------------------
+
+
+def _order_affine_boundaries_reference(
+    consts: np.ndarray, coefs: np.ndarray, probe: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dict dedup in first-occurrence order, then a python sort on the full key."""
+    seen: dict[tuple[float, float], int] = {}
+    uniq: list[tuple[float, float]] = []
+    for const, coef in zip(consts.tolist(), coefs.tolist()):
+        key = (const, coef)
+        if key not in seen:
+            seen[key] = len(uniq)
+            uniq.append(key)
+    order = sorted(
+        range(len(uniq)),
+        key=lambda i: (uniq[i][0] + uniq[i][1] * probe, uniq[i][1], uniq[i][0]),
+    )
+    out_consts = np.array([uniq[i][0] for i in order], dtype=np.float64)
+    out_coefs = np.array([uniq[i][1] for i in order], dtype=np.float64)
+    return out_consts, out_coefs
+
+
+def _active_jobs_delta_reference(
+    releases: np.ndarray, factors: np.ndarray, rem: np.ndarray, now: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-row active-job filter."""
+    idx_list: list[int] = []
+    earliest: list[float] = []
+    works: list[float] = []
+    for i in range(releases.size):
+        value = rem[i]
+        if value <= 0.0:
+            continue
+        idx_list.append(i)
+        release = releases[i]
+        earliest.append(release if now is None else max(release, now))
+        works.append(float(value))
+    idx = np.array(idx_list, dtype=np.int64)
+    return (
+        idx,
+        np.array(earliest, dtype=np.float64),
+        np.array(works, dtype=np.float64),
+        releases[idx],
+        factors[idx],
+    )
+
+
+def _scatter_capacity_sys1_reference(
+    entry_rows: np.ndarray,
+    entry_cols: np.ndarray,
+    len_const: np.ndarray,
+    len_coef: np.ndarray,
+    speeds: np.ndarray,
+    offset: int,
+    f_var: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The capacity block built entry by entry, then row by row."""
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for e in range(entry_cols.size):
+        rows.append(int(entry_rows[e]))
+        cols.append(int(entry_cols[e]) + offset)
+        vals.append(1.0)
+    rhs = np.empty(speeds.size, dtype=np.float64)
+    for r in range(speeds.size):
+        rhs[r] = speeds[r] * len_const[r]
+        coef = -(speeds[r] * len_coef[r])
+        if coef != 0.0:
+            rows.append(r)
+            cols.append(f_var)
+            vals.append(coef)
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=np.float64),
+        rhs,
+    )
+
+
+#: name -> (module, array program, reference loop).
+_FOLDED = {
+    "merge_close_milestones": (
+        milestones, "_merge_close_milestones", milestones._merge_close_milestones_loop
+    ),
+    "order_affine_boundaries": (
+        intervals, "_order_affine_boundaries", _order_affine_boundaries_reference
+    ),
+    "active_jobs_delta": (problem, "_active_jobs_delta", _active_jobs_delta_reference),
+    "scatter_capacity_sys1": (
+        maxstretch, "_scatter_capacity_sys1", _scatter_capacity_sys1_reference
+    ),
+}
+NAMES = tuple(_FOLDED)
+
+
+# -- randomized cases ----------------------------------------------------------------
 
 
 def _case_merge_close_milestones(rng):
@@ -64,7 +166,7 @@ def _case_active_jobs_delta(rng):
     rem[rng.random(size=n) < 0.4] = 0.0  # completed jobs drop out
     now = float(rng.uniform(0.0, 30.0))
     has_now = bool(rng.random() < 0.8)
-    return (releases, factors, rem, now, has_now)
+    return (releases, factors, rem, now if has_now else None)
 
 
 def _case_scatter_capacity_sys1(rng):
@@ -102,46 +204,20 @@ def _assert_bit_equal(actual, expected):
 
 
 def test_every_kernel_has_a_case_builder():
-    # A new kernel cannot land without its cross-tier equality coverage.
-    assert set(_CASE_BUILDERS) == set(kernels.KERNEL_NAMES)
+    assert set(_CASE_BUILDERS) == set(NAMES)
 
 
-@pytest.mark.parametrize("tier", CANDIDATE_TIERS)
-@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
-def test_kernel_bit_equal_to_legacy(name, tier):
-    reference = kernels.kernel(name, "legacy")
-    candidate = kernels.kernel(name, tier)
+@pytest.mark.parametrize("name", NAMES)
+def test_kernel_bit_equal_to_legacy(name):
+    module, attr, reference = _FOLDED[name]
+    candidate = getattr(module, attr)
     for trial in range(N_TRIALS):
-        seed = 1000 * trial + kernels.KERNEL_NAMES.index(name)
+        seed = 1000 * trial + NAMES.index(name)
         args = _CASE_BUILDERS[name](_rng(seed))
         _assert_bit_equal(candidate(*args), reference(*args))
 
 
-class TestTierDispatch:
-    def test_default_tier_matches_numba_availability(self):
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels._default_tier() == expected
-
-    def test_set_active_tier_round_trips(self):
-        initial = kernels.active_tier()
-        previous = kernels.set_active_tier("legacy")
-        try:
-            assert previous == initial
-            assert kernels.active_tier() == "legacy"
-        finally:
-            kernels.set_active_tier(initial)
-        assert kernels.active_tier() == initial
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            kernels.set_active_tier("fortran")
-
-    def test_numba_tier_listed_only_when_importable(self):
-        assert ("numba" in kernels.available_tiers()) == kernels.HAVE_NUMBA
-
-
-@pytest.mark.parametrize("tier", CANDIDATE_TIERS)
-def test_whole_run_bit_identical_across_tiers(tier):
+def test_whole_run_bit_identical_to_legacy_loops(monkeypatch):
     platform_spec = PlatformSpec(
         n_clusters=2, processors_per_cluster=4, n_databanks=2, availability=0.6
     )
@@ -153,12 +229,9 @@ def test_whole_run_bit_identical_across_tiers(tier):
         result = simulate(instance, scheduler)
         return scheduler.last_objective, result.completions
 
-    initial = kernels.set_active_tier("legacy")
-    try:
-        reference = run()
-        kernels.set_active_tier(tier)
-        candidate = run()
-    finally:
-        kernels.set_active_tier(initial)
+    candidate = run()
+    for module, attr, reference in _FOLDED.values():
+        monkeypatch.setattr(module, attr, reference)
+    reference = run()
     assert candidate[0] == reference[0]
     assert candidate[1] == reference[1]

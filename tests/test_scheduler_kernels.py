@@ -1,33 +1,37 @@
-"""Cross-tier bit-equality of the heuristic-scheduler kernels.
+"""Bit-equality of the heuristic-scheduler kernels against their legacy loops.
 
-Mirror of ``tests/test_replan_kernels.py`` for :mod:`repro.schedulers.kernels`:
-every kernel in :data:`~repro.schedulers.kernels.KERNEL_NAMES` is checked
-against the ``legacy`` tier (the pre-kernel pure python, kept verbatim) on
-randomized inputs -- with deliberate exact ties and tolerance-band near-ties
-injected so the fallback branches actually fire -- in every importable tier
-(``numpy`` always, ``numba`` on the CI jit leg).  Equality is exact (``==``
-on every element).  A second group checks the contract at the integration
-level: whole-run completions of every heuristic scheduler are identical
-under every tier.
+Mirror of ``tests/test_replan_kernels.py`` for the heuristic schedulers:
+MCT's champion scan and MCT-Div's water filling (:mod:`repro.schedulers.mct`),
+the plan-horizon scan and the ``(priority, job_id)`` ranking
+(:mod:`repro.schedulers.base`), Bender02's pseudo-stretch keys
+(:mod:`repro.schedulers.bender02`) and Bender98's deadline expansion (one
+array expression inlined in :mod:`repro.schedulers.bender98`).  Each is
+checked against a sequential reference loop on randomized inputs -- with
+deliberate exact ties and tolerance-band near-ties injected so the fallback
+branches actually fire.  MCT's fallback loop lives beside it in ``src``; the
+other references are the historical pure-python loops, kept in this file
+as oracles.  Equality is exact (``==`` on every element).  A second check
+covers the integration level: whole-run completions of every heuristic
+scheduler are identical with every array program replaced by its
+reference loop.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.schedulers import kernels
+from repro.schedulers import base, bender02, mct
 from repro.schedulers.registry import make_scheduler
 from repro.simulation.engine import simulate
 from repro.workload.generator import PlatformSpec, WorkloadSpec, generate_instance
 
-#: Tiers equality-tested against the legacy reference.
-CANDIDATE_TIERS = [t for t in kernels.available_tiers() if t != "legacy"]
-
-#: Randomized trials per kernel and tier.
+#: Randomized trials per kernel.
 N_TRIALS = 25
 
-#: The heuristic (LP-free) schedulers whose event loops call these kernels.
+#: The heuristic (LP-free) schedulers whose event loops run this code.
 HEURISTIC_KEYS = (
     "fcfs",
     "srpt",
@@ -45,6 +49,96 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# -- reference loops (the historical pure python) ------------------------------------
+
+
+def _water_filling_reference(work: float, speeds: np.ndarray, availability: np.ndarray) -> float:
+    """The water-filling sweep over a stable mergesort availability order."""
+    order = np.argsort(availability, kind="mergesort")
+    active_speed = 0.0
+    remaining = work
+    current = availability[order[0]]
+    for idx in order.tolist():
+        gap = availability[idx] - current
+        if gap > 0.0 and active_speed > 0.0:
+            doable = active_speed * gap
+            if doable >= remaining:
+                return float(current + remaining / active_speed)
+            remaining -= doable
+            current = availability[idx]
+        else:
+            current = max(current, availability[idx])
+        active_speed += speeds[idx]
+    return float(current + remaining / active_speed)
+
+
+def _plan_horizon_reference(starts: np.ndarray, ends: np.ndarray, time: float) -> float:
+    """The chained scan over the machine's (start, end) segment pairs."""
+    horizon = time
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        if end <= horizon + 1e-12:
+            continue
+        if start > horizon + 1e-12:
+            break
+        horizon = end
+    return float(horizon)
+
+
+def _rank_by_priority_reference(priorities: np.ndarray, job_ids: np.ndarray) -> np.ndarray:
+    """The ``sorted(..., key=(priority, job_id))`` list ranking."""
+    order = sorted(range(priorities.size), key=lambda i: (priorities[i], job_ids[i]))
+    return np.array(order, dtype=np.int64)
+
+
+def _pseudo_stretch_priorities_reference(
+    ages: np.ndarray, relative_sizes: np.ndarray, delta: float
+) -> np.ndarray:
+    """The per-job negated pseudo-stretch keys."""
+    out = np.empty(ages.size, dtype=np.float64)
+    for i in range(ages.size):
+        if relative_sizes[i] <= math.sqrt(delta):
+            out[i] = -(ages[i] / math.sqrt(delta))
+        else:
+            out[i] = -(ages[i] / delta)
+    return out
+
+
+def _expand_deadlines_reference(
+    releases: np.ndarray, flow_factors: np.ndarray, scale: float
+) -> np.ndarray:
+    """The per-job deadline expansion ``release + scale * flow_factor``."""
+    out = np.empty(releases.size, dtype=np.float64)
+    for i in range(releases.size):
+        out[i] = releases[i] + scale * flow_factors[i]
+    return out
+
+
+def _expand_deadlines_inline(
+    releases: np.ndarray, flow_factors: np.ndarray, scale: float
+) -> np.ndarray:
+    """The expression ``Bender98Scheduler.on_arrival`` evaluates."""
+    return releases + scale * flow_factors
+
+
+#: name -> (module or None, array program attribute or function, reference loop).
+_FOLDED = {
+    "mct_argmin_completion": (
+        mct, "_mct_argmin_completion", mct._mct_argmin_completion_loop
+    ),
+    "water_filling_completion": (mct, "_water_filling_completion", _water_filling_reference),
+    "plan_horizon_scan": (base, "_plan_horizon_scan", _plan_horizon_reference),
+    "rank_by_priority": (base, "_rank_by_priority", _rank_by_priority_reference),
+    "pseudo_stretch_priorities": (
+        bender02, "_pseudo_stretch_priorities", _pseudo_stretch_priorities_reference
+    ),
+    "expand_deadlines": (None, _expand_deadlines_inline, _expand_deadlines_reference),
+}
+NAMES = tuple(_FOLDED)
+
+
+# -- randomized cases ----------------------------------------------------------------
+
+
 def _case_mct_argmin_completion(rng):
     n = int(rng.integers(0, 25))
     available = rng.uniform(0.0, 30.0, size=n)
@@ -52,7 +146,7 @@ def _case_mct_argmin_completion(rng):
     if n > 2 and rng.random() < 0.7:
         # Duplicate (available, cycle_time) pairs produce exact completion
         # ties, and 1e-16 jitter produces tolerance-band near-ties: both
-        # force the numpy tier off its unique-winner fast path onto the
+        # force the vectorized scan off its unique-winner fast path onto the
         # sequential champion chain.
         take = rng.integers(0, n, size=n // 2)
         jitter = 1.0 + rng.uniform(-1e-16, 1e-16, size=take.size)
@@ -69,8 +163,8 @@ def _case_water_filling_completion(rng):
     availability = rng.uniform(0.0, 20.0, size=n)
     if n > 2 and rng.random() < 0.6:
         # Duplicate availability dates: the earliest-availability order is
-        # then tie-broken by position, which must match between the legacy
-        # stable tuple sort and the compiled mergesort argsort.
+        # then tie-broken by position, which must match between the stable
+        # tuple sort and the reference's mergesort argsort.
         take = rng.integers(0, n, size=n // 2)
         speeds = np.concatenate([speeds, rng.uniform(0.2, 5.0, size=take.size)])
         availability = np.concatenate([availability, availability[take]])
@@ -152,52 +246,21 @@ def _assert_bit_equal(actual, expected):
 
 
 def test_every_kernel_has_a_case_builder():
-    # A new kernel cannot land without its cross-tier equality coverage.
-    assert set(_CASE_BUILDERS) == set(kernels.KERNEL_NAMES)
+    assert set(_CASE_BUILDERS) == set(NAMES)
 
 
-@pytest.mark.parametrize("tier", CANDIDATE_TIERS)
-@pytest.mark.parametrize("name", kernels.KERNEL_NAMES)
-def test_kernel_bit_equal_to_legacy(name, tier):
-    reference = kernels.kernel(name, "legacy")
-    candidate = kernels.kernel(name, tier)
+@pytest.mark.parametrize("name", NAMES)
+def test_kernel_bit_equal_to_legacy(name):
+    module, candidate, reference = _FOLDED[name]
+    if module is not None:
+        candidate = getattr(module, candidate)
     for trial in range(N_TRIALS):
-        seed = 1000 * trial + kernels.KERNEL_NAMES.index(name)
+        seed = 1000 * trial + NAMES.index(name)
         args = _CASE_BUILDERS[name](_rng(seed))
         _assert_bit_equal(candidate(*args), reference(*args))
 
 
-class TestTierDispatch:
-    def test_default_tier_matches_numba_availability(self):
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels._default_tier() == expected
-
-    def test_set_active_tier_round_trips(self):
-        initial = kernels.active_tier()
-        previous = kernels.set_active_tier("legacy")
-        try:
-            assert previous == initial
-            assert kernels.active_tier() == "legacy"
-        finally:
-            kernels.set_active_tier(initial)
-        assert kernels.active_tier() == initial
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel tier"):
-            kernels.set_active_tier("fortran")
-
-    def test_numba_tier_listed_only_when_importable(self):
-        assert ("numba" in kernels.available_tiers()) == kernels.HAVE_NUMBA
-
-    def test_empty_machine_set_rejected(self):
-        with pytest.raises(ValueError, match="at least one machine"):
-            kernels.water_filling_completion(
-                1.0, np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
-            )
-
-
-@pytest.mark.parametrize("tier", CANDIDATE_TIERS)
-def test_whole_run_bit_identical_across_tiers(tier):
+def test_whole_run_bit_identical_to_legacy_loops(monkeypatch):
     platform_spec = PlatformSpec(
         n_clusters=3, processors_per_cluster=4, n_databanks=3, availability=0.6
     )
@@ -212,11 +275,8 @@ def test_whole_run_bit_identical_across_tiers(tier):
             completions[key] = simulate(instance, scheduler).completions
         return completions
 
-    initial = kernels.set_active_tier("legacy")
-    try:
-        reference = run()
-        kernels.set_active_tier(tier)
-        candidate = run()
-    finally:
-        kernels.set_active_tier(initial)
-    assert candidate == reference
+    candidate = run()
+    for module, attr, reference in _FOLDED.values():
+        if module is not None:
+            monkeypatch.setattr(module, attr, reference)
+    assert run() == candidate

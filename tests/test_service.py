@@ -11,7 +11,9 @@ The headline contracts:
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -389,6 +391,30 @@ class TestHttpSurface:
             status, reply = http_json(f"{server.url}/submit", body)
             assert status == 409 and "duplicate" in reply["error"]
             http_json(f"{server.url}/drain", b"", method="POST")
+
+    def test_keep_alive_submits_are_not_delayed(self):
+        # Headers and body leave as two writes; with Nagle's algorithm on, a
+        # kept-alive connection stalls each reply on the client's delayed
+        # ACK (~40 ms), so 20 sequential submits would have a median >= 40 ms.
+        daemon = SchedulerDaemon(small_platform(), ServiceConfig())
+        with ServiceServer(daemon) as server:
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            body = json.dumps({"size": 1.0, "databank": "sp"}).encode()
+            latencies = []
+            try:
+                for _ in range(20):
+                    start = time.perf_counter()
+                    connection.request(
+                        "POST", "/submit", body, {"Content-Type": "application/json"}
+                    )
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    json.loads(response.read())
+                    latencies.append(time.perf_counter() - start)
+            finally:
+                connection.close()
+            http_json(f"{server.url}/drain", b"", method="POST")
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class FakeReplanStats:
