@@ -16,6 +16,7 @@ import math
 import pytest
 
 import repro.experiments.runner as runner_mod
+from repro import api
 from repro.core.errors import ReproError
 from repro.experiments.ab import compare_record_sets, run_backend_ab
 from repro.experiments.config import ExperimentConfig
@@ -283,6 +284,16 @@ class TestGroupDispatch:
             base_seed=SEED, n_workers=n_workers,
         )
         assert sharded.result_set() == serial_bank_off.result_set()
+
+    @pytest.mark.parametrize("entry", [runner_mod.run_campaign, api.run_campaign])
+    def test_removed_dispatch_keyword_is_rejected(self, entry):
+        # The per-task path is gone; a caller still asking for it must fail
+        # loudly instead of silently getting group dispatch.
+        with pytest.raises(TypeError, match="dispatch"):
+            entry(
+                CONFIGS, scheduler_keys=KEYS, replicates=1, base_seed=SEED,
+                dispatch="task",
+            )
 
     def test_packed_round_trip_is_bit_exact(self):
         records = [TestJsonNaN.OK, TestJsonNaN.FAILED]

@@ -339,6 +339,34 @@ def test_probe_stats_are_scoped_to_their_thread():
     assert concurrent == alone
 
 
+def test_nested_probe_blocks_stack_and_unstack():
+    # Every open block sees the probes run inside it; a closed block stops
+    # counting, so a sibling opened after it reaches only the outer block.
+    problem = problem_from_instance(_small_instance(1, max_jobs=8))
+    with record_lp_probes() as outer:
+        minimize_max_weighted_flow(problem, backend=ScipyBackend())
+        alone = outer.n_probes
+        with record_lp_probes() as inner:
+            minimize_max_weighted_flow(problem, backend=ScipyBackend())
+        inner_probes = inner.n_probes
+        with record_lp_probes() as sibling:
+            minimize_max_weighted_flow(problem, backend=ScipyBackend())
+    assert alone > 0 and inner_probes > 0 and sibling.n_probes > 0
+    assert inner.n_probes == inner_probes
+    assert outer.n_probes == alone + inner_probes + sibling.n_probes
+
+
+def test_probe_block_closes_when_its_body_raises():
+    problem = problem_from_instance(_small_instance(1, max_jobs=8))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with record_lp_probes() as interrupted:
+            raise RuntimeError("interrupted")
+    with record_lp_probes() as stats:
+        minimize_max_weighted_flow(problem, backend=ScipyBackend())
+    assert stats.n_probes > 0
+    assert interrupted.n_probes == 0
+
+
 # -- backend selection ---------------------------------------------------------------
 
 

@@ -6,7 +6,8 @@ The per-replan python of the LP layer -- milestone merging
 (:mod:`repro.lp.problem`) and the System (1) capacity scatter
 (:mod:`repro.lp.maxstretch`) -- runs as private numpy kernels beside their
 call sites.  Each one is checked here against a sequential legacy loop on
-randomized inputs with injected near-duplicates and exact ties.  The
+randomized inputs with injected near-duplicates and exact ties, and on
+fixed boundary inputs (empty arrays, full ties, tolerance edges).  The
 merge's fallback loop lives beside it in ``src``; the other legacy loops
 are the historical pure python, kept in this file as oracles.  Equality is exact (``==`` on every
 element).  A second check covers the integration level: whole-run S*
@@ -191,6 +192,42 @@ _CASE_BUILDERS = {
 }
 
 
+def _f(*values: float) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+def _ids(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+#: Fixed boundary inputs the randomized builders reach rarely or never: empty
+#: and single-element arrays, exact duplicates, full ties and values sitting
+#: exactly on a tolerance boundary.
+_EDGE_CASES = {
+    "merge_close_milestones": [
+        (_f(5.0), 1e-12),
+        (_f(2.0, 2.0, 2.0), 1e-12),  # one exact cluster
+        (_f(0.0, 1e-13, 2e-13), 1e-12),  # near zero: absolute tolerance
+        (_f(1.0, 1.0 + 6e-13, 1.0 + 1.2e-12), 1e-12),  # chain to the last kept value
+    ],
+    "order_affine_boundaries": [
+        (_f(), _f(), 1.0),
+        (_f(3.0, 3.0), _f(1.0, 1.0), 2.0),  # exact duplicate pair
+        (_f(5.0, 3.0, 1.0), _f(0.0, 1.0, 2.0), 2.0),  # equal value at the probe
+    ],
+    "active_jobs_delta": [
+        (_f(), _f(), _f(), 1.0),
+        (_f(0.0, 1.0), _f(1.0, 2.0), _f(0.0, 0.0), 1.0),  # every job done
+        (_f(2.0, 5.0), _f(1.0, 2.0), _f(3.0, 1.0), None),  # no clamp date
+        (_f(2.0, 5.0), _f(1.0, 2.0), _f(3.0, 1.0), 0.0),  # date before every release
+    ],
+    "scatter_capacity_sys1": [
+        (_ids(), _ids(), _f(1.0, 2.0), _f(0.0, 0.0), _f(1.0, 3.0), 0, 9),
+        (_ids(0, 0), _ids(4, 2), _f(1.5), _f(0.5), _f(2.0), 3, 40),
+    ],
+}
+
+
 def _assert_bit_equal(actual, expected):
     if isinstance(expected, tuple):
         assert isinstance(actual, tuple) and len(actual) == len(expected)
@@ -214,6 +251,18 @@ def test_kernel_bit_equal_to_legacy(name):
     for trial in range(N_TRIALS):
         seed = 1000 * trial + NAMES.index(name)
         args = _CASE_BUILDERS[name](_rng(seed))
+        _assert_bit_equal(candidate(*args), reference(*args))
+
+
+def test_every_kernel_has_edge_cases():
+    assert set(_EDGE_CASES) == set(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_kernel_edge_cases_bit_equal_to_legacy(name):
+    module, attr, reference = _FOLDED[name]
+    candidate = getattr(module, attr)
+    for args in _EDGE_CASES[name]:
         _assert_bit_equal(candidate(*args), reference(*args))
 
 

@@ -8,9 +8,10 @@ the plan-horizon scan and the ``(priority, job_id)`` ranking
 array expression inlined in :mod:`repro.schedulers.bender98`).  Each is
 checked against a sequential reference loop on randomized inputs -- with
 deliberate exact ties and tolerance-band near-ties injected so the fallback
-branches actually fire.  MCT's fallback loop lives beside it in ``src``; the
-other references are the historical pure-python loops, kept in this file
-as oracles.  Equality is exact (``==`` on every element).  A second check
+branches actually fire -- and on fixed boundary inputs (empty arrays, full
+ties, values on a tolerance edge).  MCT's fallback loop lives beside it in
+``src``; the other references are the historical pure-python loops, kept in
+this file as oracles.  Equality is exact (``==`` on every element).  A second check
 covers the integration level: whole-run completions of every heuristic
 scheduler are identical with every array program replaced by its
 reference loop.
@@ -233,6 +234,52 @@ _CASE_BUILDERS = {
 }
 
 
+def _f(*values: float) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+def _ids(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+#: Fixed boundary inputs the randomized builders reach rarely or never: empty
+#: and single-element arrays, all-tied keys and values sitting exactly on a
+#: tolerance or branch boundary.
+_EDGE_CASES = {
+    "mct_argmin_completion": [
+        (_f(), _f(), 0.0, 1.0),  # no machine: (-1, inf)
+        (_f(3.0), _f(0.5), 0.0, 2.0),
+        (_f(1.0, 1.0, 1.0), _f(2.0, 2.0, 2.0), 0.0, 1.0),  # exact tie: first wins
+        (_f(0.0, 5.0), _f(1.0, 1.0), 10.0, 1.0),  # both idle before now
+    ],
+    "water_filling_completion": [
+        (2.0, _f(1.5), _f(4.0)),
+        (0.0, _f(1.0, 2.0), _f(3.0, 1.0)),  # no work: earliest availability
+        (6.0, _f(1.0, 2.0, 3.0), _f(2.0, 2.0, 2.0)),  # simultaneous start
+    ],
+    "plan_horizon_scan": [
+        (_f(), _f(), 4.0),  # empty plan: free at once
+        (_f(0.0), _f(4.0), 4.0),  # segment ends exactly at the query date
+        (_f(4.0 + 1e-12), _f(6.0), 4.0),  # starts on the tolerance edge
+        (_f(1.0, 2.0), _f(2.0, 3.0), 0.0),  # plan starts later: free now
+    ],
+    "rank_by_priority": [
+        (_f(), _ids()),
+        (_f(2.0, 2.0, 2.0), _ids(7, 3, 5)),  # all tied: job-id order
+        (_f(np.inf, 1.0, np.inf), _ids(4, 9, 2)),
+    ],
+    "pseudo_stretch_priorities": [
+        (_f(), _f(), 4.0),
+        (_f(3.0), _f(2.0), 4.0),  # size exactly sqrt(delta): short-job branch
+        (_f(0.0, 5.0), _f(1.0, 1.0), 1.0),  # delta == 1: both branches agree
+    ],
+    "expand_deadlines": [
+        (_f(), _f(), 2.0),
+        (_f(0.0, 3.0), _f(1.0, 2.0), 0.0),
+    ],
+}
+
+
 def _assert_bit_equal(actual, expected):
     if isinstance(expected, tuple):
         assert isinstance(actual, tuple) and len(actual) == len(expected)
@@ -257,6 +304,19 @@ def test_kernel_bit_equal_to_legacy(name):
     for trial in range(N_TRIALS):
         seed = 1000 * trial + NAMES.index(name)
         args = _CASE_BUILDERS[name](_rng(seed))
+        _assert_bit_equal(candidate(*args), reference(*args))
+
+
+def test_every_kernel_has_edge_cases():
+    assert set(_EDGE_CASES) == set(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_kernel_edge_cases_bit_equal_to_legacy(name):
+    module, candidate, reference = _FOLDED[name]
+    if module is not None:
+        candidate = getattr(module, candidate)
+    for args in _EDGE_CASES[name]:
         _assert_bit_equal(candidate(*args), reference(*args))
 
 
